@@ -100,12 +100,12 @@ load-smoke:
 
 ## shard-matrix: the tentpole equivalence gate — sharded answers (1/2/8
 ## shards, in-process and HTTP backends) must render byte-identically to the
-## unsharded system, wrappers must stay veneers over Run, and shard loss must
-## surface as an explicitly partial answer. -count=1 defeats the test cache
+## unsharded system, and shard loss must surface as an explicitly partial
+## answer. -count=1 defeats the test cache
 ## so the matrix really runs on every invocation.
 shard-matrix:
 	$(GO) test . ./internal/shard/ \
-		-run 'TestShardedQueryByteIdentical|TestBypassShardsByteIdentical|TestShardMatrix|TestShardedPartialFailure|TestWrappersByteIdenticalToRun|TestCoordinatorGatherEqualsUnshardedCandidates|TestHTTPBackendRoundTripAndFailure' \
+		-run 'TestShardedQueryByteIdentical|TestBypassShardsByteIdentical|TestShardMatrix|TestShardedPartialFailure|TestCoordinatorGatherEqualsUnshardedCandidates|TestHTTPBackendRoundTripAndFailure' \
 		-count=1
 
 ## trace-stitch: the observability smoke — an in-process 2-shard atypserve

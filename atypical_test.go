@@ -1,6 +1,7 @@
 package atypical
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -20,7 +21,6 @@ func TestNewSystemValidation(t *testing.T) {
 		func(c *Config) { c.SimThreshold = 0 },
 		func(c *Config) { c.SimThreshold = 1.5 },
 		func(c *Config) { c.DaysPerMonth = 0 },
-		func(c *Config) { c.Balance = "bogus" },
 	}
 	for i, mutate := range cases {
 		cfg := testConfig()
@@ -97,7 +97,7 @@ func TestDescribe(t *testing.T) {
 	}
 }
 
-func TestQueryBoxNarrowsScope(t *testing.T) {
+func TestBoxRequestNarrowsScope(t *testing.T) {
 	sys, err := NewSystem(testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -163,5 +163,42 @@ func TestRankingAndExplicitScope(t *testing.T) {
 	if len(loose.Significant) < len(res.Significant) {
 		t.Errorf("looser δs found fewer significant clusters: %d < %d",
 			len(loose.Significant), len(res.Significant))
+	}
+}
+
+// RegionHeatmap marks exactly the red zones a Guided run of the same
+// request consults, and refuses a stale severity index.
+func TestRegionHeatmap(t *testing.T) {
+	sys, err := NewSystem(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.IngestMonths(1)
+	req := QueryRequest{Days: 7, Strategy: Guided}
+	gui := mustRun(t, sys, req)
+	heatmap, err := sys.RegionHeatmap(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(heatmap, "region severity map") {
+		t.Errorf("heatmap header missing: %q", heatmap)
+	}
+	_, cells, _ := strings.Cut(heatmap, "\n") // the header explains the "[x]" marker
+	if marked := strings.Count(cells, "["); marked != gui.RedZones {
+		t.Errorf("heatmap marks %d red zones, Guided run consulted %d", marked, gui.RedZones)
+	}
+	if _, err := sys.RegionHeatmap(QueryRequest{}); !errors.Is(err, ErrInvalidRequest) {
+		t.Errorf("RegionHeatmap(zero request) = %v, want ErrInvalidRequest", err)
+	}
+
+	dir := t.TempDir()
+	if err := sys.SaveForest(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.LoadForest(dir); !errors.Is(err, ErrSeverityStale) {
+		t.Fatalf("LoadForest error = %v, want ErrSeverityStale", err)
+	}
+	if _, err := sys.RegionHeatmap(req); !errors.Is(err, ErrSeverityStale) {
+		t.Errorf("RegionHeatmap after LoadForest = %v, want ErrSeverityStale", err)
 	}
 }

@@ -1,94 +1,94 @@
 // Command atypforest builds the atypical forest from record files produced
 // by atypgen: it extracts atypical events per day (Algorithm 1), summarizes
-// them into micro-clusters, and persists the materialized days.
+// them into micro-clusters, and persists the materialized days. It is a
+// client of atypical.System: every catalog dataset goes through IngestCtx,
+// and the forest is written with SaveForest, so two runs over the same
+// catalog write byte-identical forests.
 //
 // Usage:
 //
 //	atypforest -data data/ -out forest/ [-sensors 400] [-seed 42]
-//	           [-deltad 1.5] [-deltat 15m]
+//	           [-deltad 1.5] [-deltat 15m] [-deltasim 0.5]
 //
 // The deployment parameters must match the ones used by atypgen so sensor
 // ids resolve to the same topology.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
-	"github.com/cpskit/atypical/internal/cluster"
-	"github.com/cpskit/atypical/internal/cps"
-	"github.com/cpskit/atypical/internal/forest"
-	"github.com/cpskit/atypical/internal/geo"
-	"github.com/cpskit/atypical/internal/index"
+	"github.com/cpskit/atypical"
 	"github.com/cpskit/atypical/internal/storage"
-	"github.com/cpskit/atypical/internal/traffic"
 )
 
+// daysPerMonth matches atypgen's default month length; atypquery loads the
+// forest with the same value.
+const daysPerMonth = 28
+
 func main() {
-	var (
-		data     = flag.String("data", "data", "directory of .rec files from atypgen")
-		out      = flag.String("out", "forest", "output directory for the forest")
-		sensors  = flag.Int("sensors", 400, "approximate deployment size (must match atypgen)")
-		seed     = flag.Int64("seed", 42, "deployment seed (must match atypgen)")
-		deltaD   = flag.Float64("deltad", 1.5, "distance threshold δd (miles)")
-		deltaT   = flag.Duration("deltat", 15*time.Minute, "time interval threshold δt")
-		deltaSim = flag.Float64("deltasim", 0.5, "similarity threshold δsim")
-	)
-	flag.Parse()
-
-	netCfg := traffic.ScaledConfig(*sensors)
-	netCfg.Seed = *seed
-	net := traffic.GenerateNetwork(netCfg)
-	spec := cps.DefaultSpec()
-
-	locs := make([]geo.Point, net.NumSensors())
-	for i, s := range net.Sensors {
-		locs[i] = s.Loc
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "atypforest:", err)
+		os.Exit(1)
 	}
-	neighbors := index.NewNeighborIndex(locs, *deltaD).NeighborLists()
-	maxGap := cluster.MaxWindowGap(*deltaT, spec.Width)
+}
+
+// run parses args, builds the forest and writes progress to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("atypforest", flag.ExitOnError)
+	var (
+		data     = fs.String("data", "data", "directory of .rec files from atypgen")
+		out      = fs.String("out", "forest", "output directory for the forest")
+		sensors  = fs.Int("sensors", 400, "approximate deployment size (must match atypgen)")
+		seed     = fs.Int64("seed", 42, "deployment seed (must match atypgen)")
+		deltaD   = fs.Float64("deltad", 1.5, "distance threshold δd (miles)")
+		deltaT   = fs.Duration("deltat", 15*time.Minute, "time interval threshold δt")
+		deltaSim = fs.Float64("deltasim", 0.5, "similarity threshold δsim")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	cfg := atypical.DefaultConfig()
+	cfg.Sensors, cfg.Seed, cfg.DaysPerMonth = *sensors, *seed, daysPerMonth
+	cfg.DeltaD, cfg.DeltaT, cfg.SimThreshold = *deltaD, *deltaT, *deltaSim
+	sys, err := atypical.NewSystem(cfg)
+	if err != nil {
+		return err
+	}
 
 	catalog, err := storage.OpenCatalog(*data)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	datasets := catalog.List()
 	if len(datasets) == 0 {
-		fatal(fmt.Errorf("no datasets in %s (run atypgen first)", *data))
+		return fmt.Errorf("no datasets in %s (run atypgen first)", *data)
 	}
 
-	var idgen cluster.IDGen
-	opts := cluster.IntegrateOptions{
-		SimThreshold: *deltaSim,
-		Balance:      cluster.Arithmetic,
-		Period:       cps.Window(spec.PerDay()),
-	}
-	f := forest.New(spec, &idgen, opts, 28)
-	totalRecords, totalMicros := 0, 0
+	ctx := context.Background()
+	totalRecords := 0
 	start := time.Now()
 	for _, info := range datasets {
 		rs, err := catalog.Read(info.Name)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		for day, dayRecs := range rs.SplitByDay(spec) {
-			micros := cluster.ExtractMicroClusters(&idgen, dayRecs, neighbors, maxGap)
-			f.AddDay(day, micros)
-			totalMicros += len(micros)
+		if err := sys.IngestCtx(ctx, rs); err != nil {
+			return err
 		}
 		totalRecords += rs.Len()
-		fmt.Fprintf(os.Stdout, "%s: %d records\n", info.Name, rs.Len())
+		fmt.Fprintf(stdout, "%s: %d records\n", info.Name, rs.Len())
 	}
-	if err := f.Save(*out); err != nil {
-		fatal(err)
+	if err := sys.SaveForest(*out); err != nil {
+		return err
 	}
-	fmt.Fprintf(os.Stdout, "forest: %d days, %d micro-clusters from %d records in %s -> %s\n",
-		len(f.Days()), totalMicros, totalRecords, time.Since(start).Round(time.Millisecond), *out)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "atypforest:", err)
-	os.Exit(1)
+	st := sys.Forest().Stats()
+	fmt.Fprintf(stdout, "forest: %d days, %d micro-clusters from %d records in %s -> %s\n",
+		st.Days, st.MicroTotal, totalRecords, time.Since(start).Round(time.Millisecond), *out)
+	return nil
 }

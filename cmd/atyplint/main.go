@@ -16,8 +16,6 @@
 // on (see DESIGN.md, "Static analysis & invariants"):
 //
 //	ctxflow           context-holding functions thread their ctx; no fresh contexts in libraries
-//	deprecatedcall    legacy System.Query* wrapper calls stay confined to their declaring package and tests
-//	deprecatedfield   deprecated struct fields (Config.Balance) stay confined to their declaring package, main, and tests
 //	errwrap           exported errors of contract packages are classifiable via errors.Is
 //	featuremutation   SF/TF only written by the cluster package
 //	floatcmp          no ==/!= on float severities or similarities
@@ -47,8 +45,6 @@ import (
 	"time"
 
 	"github.com/cpskit/atypical/internal/analysis/ctxflow"
-	"github.com/cpskit/atypical/internal/analysis/deprecatedcall"
-	"github.com/cpskit/atypical/internal/analysis/deprecatedfield"
 	"github.com/cpskit/atypical/internal/analysis/errwrap"
 	"github.com/cpskit/atypical/internal/analysis/featuremutation"
 	"github.com/cpskit/atypical/internal/analysis/floatcmp"
@@ -66,8 +62,6 @@ import (
 // analyzers is the multichecker suite, alphabetical.
 var analyzers = []*framework.Analyzer{
 	ctxflow.Analyzer,
-	deprecatedcall.Analyzer,
-	deprecatedfield.Analyzer,
 	errwrap.Analyzer,
 	featuremutation.Analyzer,
 	floatcmp.Analyzer,

@@ -1,6 +1,8 @@
 // Command atypstream replays a record file through the online event
 // processor, printing an alert line whenever a closing event exceeds the
-// alert severity — the operations-center view of the data.
+// alert severity — the operations-center view of the data. It is a client
+// of atypical.System: the processor comes from NewStreamProcessor and the
+// alerts and recap render through Describe and Ranking.
 //
 // Usage:
 //
@@ -15,14 +17,8 @@ import (
 	"sort"
 	"time"
 
-	"github.com/cpskit/atypical/internal/cluster"
-	"github.com/cpskit/atypical/internal/cps"
-	"github.com/cpskit/atypical/internal/geo"
-	"github.com/cpskit/atypical/internal/index"
-	"github.com/cpskit/atypical/internal/report"
+	"github.com/cpskit/atypical"
 	"github.com/cpskit/atypical/internal/storage"
-	"github.com/cpskit/atypical/internal/stream"
-	"github.com/cpskit/atypical/internal/traffic"
 )
 
 func main() {
@@ -41,13 +37,11 @@ func main() {
 		fatal(fmt.Errorf("-name is required"))
 	}
 
-	netCfg := traffic.ScaledConfig(*sensors)
-	netCfg.Seed = *seed
-	net := traffic.GenerateNetwork(netCfg)
-	spec := cps.DefaultSpec()
-	locs := make([]geo.Point, net.NumSensors())
-	for i, s := range net.Sensors {
-		locs[i] = s.Loc
+	cfg := atypical.DefaultConfig()
+	cfg.Sensors, cfg.Seed, cfg.DeltaD, cfg.DeltaT = *sensors, *seed, *deltaD, *deltaT
+	sys, err := atypical.NewSystem(cfg)
+	if err != nil {
+		fatal(err)
 	}
 
 	catalog, err := storage.OpenCatalog(*data)
@@ -60,20 +54,15 @@ func main() {
 	}
 	defer closer()
 
-	var idgen cluster.IDGen
-	var closed []*cluster.Cluster
+	var closed []*atypical.Cluster
 	alerts := 0
-	proc, err := stream.New(stream.Config{
-		Neighbors: index.NewNeighborIndex(locs, *deltaD).NeighborLists(),
-		MaxGap:    cluster.MaxWindowGap(*deltaT, spec.Width),
-		Emit: func(c *cluster.Cluster) {
-			closed = append(closed, c)
-			if float64(c.Severity()) >= *alert {
-				alerts++
-				fmt.Fprintf(os.Stdout, "ALERT %s\n", report.Describe(net, spec, c))
-			}
-		},
-	}, &idgen)
+	proc, err := sys.NewStreamProcessor(func(c *atypical.Cluster) {
+		closed = append(closed, c)
+		if float64(c.Severity()) >= *alert {
+			alerts++
+			fmt.Fprintf(os.Stdout, "ALERT %s\n", sys.Describe(c))
+		}
+	})
 	if err != nil {
 		fatal(err)
 	}
@@ -102,7 +91,7 @@ func main() {
 	if *top > len(closed) {
 		*top = len(closed)
 	}
-	fmt.Fprintf(os.Stdout, "\ntop %d events of the replay:\n%s", *top, report.Ranking(net, spec, closed[:*top]))
+	fmt.Fprintf(os.Stdout, "\ntop %d events of the replay:\n%s", *top, sys.Ranking(closed[:*top]))
 }
 
 func fatal(err error) {

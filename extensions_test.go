@@ -144,6 +144,14 @@ func TestForestPersistenceThroughFacade(t *testing.T) {
 	if res.CandidateMicros == 0 {
 		t.Error("loaded forest served no candidates")
 	}
+	// Clusters merged after the load must not reuse a loaded cluster's ID.
+	seen := map[uint64]bool{}
+	for _, c := range res.Macros {
+		if seen[uint64(c.ID)] {
+			t.Errorf("cluster ID %d appears twice in the answer after LoadForest", c.ID)
+		}
+		seen[uint64(c.ID)] = true
+	}
 	if _, err := sys2.Run(context.Background(), QueryRequest{Days: 7, Strategy: Guided}); !errors.Is(err, ErrSeverityStale) {
 		t.Errorf("Guided query on stale index error = %v, want ErrSeverityStale", err)
 	}

@@ -536,6 +536,8 @@ func LoadObserved(dir string, spec cps.WindowSpec, gen *cluster.IDGen, opts clus
 // LoadWith reads a saved forest with explicit filesystem and recovery
 // options. Stray *.tmp files (crash debris) are removed; *.corrupt files
 // (previous quarantines) are ignored.
+// gen ends past the largest loaded cluster ID, so clusters merged from the
+// loaded forest never share an ID with a loaded one.
 func LoadWith(dir string, spec cps.WindowSpec, gen *cluster.IDGen, opts cluster.IntegrateOptions, daysPerMonth int, lo LoadOptions) (*Forest, LoadReport, error) {
 	fsys := lo.FS
 	if fsys == nil {
@@ -545,6 +547,7 @@ func LoadWith(dir string, spec cps.WindowSpec, gen *cluster.IDGen, opts cluster.
 	f.SetObserver(lo.Registry)
 	m := f.obsm.Load()
 	var report LoadReport
+	var maxID cluster.ID
 	if err := faultfs.RemoveStrayTemps(fsys, dir); err != nil {
 		return nil, report, fmt.Errorf("forest: %w", err)
 	}
@@ -602,8 +605,25 @@ func LoadWith(dir string, spec cps.WindowSpec, gen *cluster.IDGen, opts cluster.
 		case "month":
 			f.months[idx] = cs
 		}
+		for _, c := range cs {
+			maxID = max(maxID, c.ID)
+		}
 	}
+	advancePast(gen, maxID)
 	return f, report, nil
+}
+
+// advancePast moves gen beyond id, so clusters merged after a load never
+// reuse a loaded cluster's ID. Next and Reserve only ever add, so IDs
+// minted concurrently stay unique; the result depends only on the
+// generator's state and id.
+func advancePast(gen *cluster.IDGen, id cluster.ID) {
+	if id == 0 {
+		return
+	}
+	if cur := gen.Next(); cur < id {
+		gen.Reserve(int(id - cur))
+	}
 }
 
 // levelFileName names the cluster file of one level index.

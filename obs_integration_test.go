@@ -192,10 +192,9 @@ func TestSharedRegistryConcurrentUse(t *testing.T) {
 	}
 }
 
-// The legacy wrappers must never panic: a refused Guided query (stale
-// severity index after LoadForest) returns an empty report and lands in the
-// API error counter.
-func TestLegacyWrapperRecordsErrorInsteadOfPanic(t *testing.T) {
+// A Guided run refused for a stale severity index (after LoadForest)
+// surfaces ErrSeverityStale and lands in the API error counter once.
+func TestStaleGuidedRunRecordsError(t *testing.T) {
 	reg := NewObserver()
 	sys := buildSystem(t, WithObserver(reg))
 	dir := t.TempDir()
@@ -205,19 +204,11 @@ func TestLegacyWrapperRecordsErrorInsteadOfPanic(t *testing.T) {
 	if err := sys.LoadForest(dir); !errors.Is(err, ErrSeverityStale) {
 		t.Fatalf("LoadForest error = %v, want ErrSeverityStale", err)
 	}
-	rep := sys.QueryCity(0, 7, Guided) // must not panic
-	if rep == nil {
-		t.Fatal("legacy wrapper returned nil report")
-	}
-	if len(rep.Macros) != 0 || len(rep.Significant) != 0 {
-		t.Fatalf("refused query returned a non-empty report: %+v", rep)
+	if _, err := sys.Run(context.Background(), QueryRequest{Days: 7, Strategy: Guided}); !errors.Is(err, ErrSeverityStale) {
+		t.Fatalf("Run(Guided) error = %v, want ErrSeverityStale", err)
 	}
 	if v, _ := sys.Metrics().Value("atyp_api_errors_total", "op", "query"); v != 1 {
 		t.Fatalf("query API error count = %v, want 1", v)
-	}
-	// The Ctx variant still surfaces the sentinel for callers that look.
-	if _, err := sys.QueryCityCtx(context.Background(), 0, 7, Guided); !errors.Is(err, ErrSeverityStale) {
-		t.Fatalf("QueryCityCtx error = %v, want ErrSeverityStale", err)
 	}
 }
 
@@ -227,11 +218,6 @@ func TestErrorContract(t *testing.T) {
 	cfg.Sensors = 0
 	if _, err := NewSystem(cfg); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("NewSystem(bad config) = %v, want ErrInvalidConfig", err)
-	}
-	cfg = testConfig()
-	cfg.Balance = "bogus"
-	if _, err := NewSystem(cfg); !errors.Is(err, ErrInvalidConfig) {
-		t.Errorf("NewSystem(bad balance) = %v, want ErrInvalidConfig", err)
 	}
 
 	sys := buildSystem(t)
@@ -244,8 +230,8 @@ func TestErrorContract(t *testing.T) {
 	if _, err := sys.NewStreamProcessor(nil); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("NewStreamProcessor(nil emit) = %v, want ErrInvalidConfig", err)
 	}
-	if _, err := sys.QueryCityCtx(context.Background(), 0, 7, Strategy(9)); !errors.Is(err, ErrUnknownStrategy) {
-		t.Errorf("QueryCityCtx(bad strategy) = %v, want ErrUnknownStrategy", err)
+	if _, err := sys.Run(context.Background(), QueryRequest{Days: 7, Strategy: Strategy(9)}); !errors.Is(err, ErrUnknownStrategy) {
+		t.Errorf("Run(bad strategy) = %v, want ErrUnknownStrategy", err)
 	}
 }
 

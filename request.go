@@ -11,9 +11,8 @@ import (
 	"github.com/cpskit/atypical/internal/query"
 )
 
-// QueryRequest describes one analytical query Q(W, T) for System.Run — the
-// single entry point the legacy Query{City,Box,At}{,Explain}{,Ctx} matrix
-// collapsed into. Set only what differs from the defaults (whole city, the
+// QueryRequest describes one analytical query Q(W, T) for System.Run, the
+// single query entry point. Set only what differs from the defaults (whole city, the
 // configured δs, IntegrateAll); a time period is mandatory, so the zero
 // value is rejected by Validate — set Days or Window.
 type QueryRequest struct {
@@ -37,8 +36,7 @@ type QueryRequest struct {
 	// DeltaS is the relative severity threshold δs of Definition 5; zero
 	// selects the Config default, negative values are rejected by Validate.
 	// (A literal δs = 0 run — bound 0, everything significant — is not
-	// expressible here; it was a degenerate accident of the old QueryAt
-	// surface.)
+	// expressible.)
 	DeltaS float64
 
 	// Strategy selects IntegrateAll, Pruned or Guided (zero value:
@@ -98,8 +96,7 @@ func (r QueryRequest) Validate() error {
 	return nil
 }
 
-// Run executes one analytical query. It is the primitive every query entry
-// point funnels through: it validates the request (ErrInvalidRequest),
+// Run executes one analytical query. It validates the request (ErrInvalidRequest),
 // snapshots the current engine under the system lock (so a concurrent
 // LoadForest cannot tear the query), refuses Guided runs while the severity
 // index is stale (ErrSeverityStale), honors ctx inside the parallel engine,
@@ -182,8 +179,7 @@ func (s *System) finishQueryEvent(fe *flight.Event, q query.Query, req QueryRequ
 }
 
 // buildQuery resolves a QueryRequest to the engine's query shape, matching
-// the legacy constructors (CityQuery, BoxQuery) exactly so the deprecated
-// wrappers stay byte-identical to their pre-Run selves.
+// the engine's own constructors (query.CityQuery, query.BoxQuery) exactly.
 func (s *System) buildQuery(req QueryRequest) query.Query {
 	deltaS := req.DeltaS
 	if deltaS <= 0 {
@@ -208,18 +204,6 @@ func (s *System) buildQuery(req QueryRequest) query.Query {
 		}
 	}
 	return query.Query{Regions: regions, Time: tr, DeltaS: deltaS}
-}
-
-// requestFromQuery lifts a legacy explicit query.Query into the request
-// shape, preserving its semantics exactly (a nil region set stays an
-// explicit empty scope, not "whole city").
-func requestFromQuery(q query.Query, strat Strategy) QueryRequest {
-	regions := q.Regions
-	if regions == nil {
-		regions = []RegionID{}
-	}
-	tr := q.Time
-	return QueryRequest{Regions: regions, Window: &tr, DeltaS: q.DeltaS, Strategy: strat}
 }
 
 // runQuery snapshots the engine and executes the resolved query.

@@ -11,7 +11,7 @@ import (
 )
 
 // renderReport serializes one report the way renderReports does — the byte
-// surface the wrapper identity tests compare.
+// surface the answer identity tests compare.
 func renderReport(sys *System, res *Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %v candidates=%d inputs=%d zones=%d bound=%v macros=%d\n",
@@ -22,97 +22,6 @@ func renderReport(sys *System, res *Report) string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// Every deprecated wrapper must be a thin veneer over Run: same engine, same
-// bytes. Each comparison builds fresh systems because sequential runs on one
-// system mint fresh macro IDs from the shared generator.
-func TestWrappersByteIdenticalToRun(t *testing.T) {
-	ctx := context.Background()
-	box := buildSystem(t).Network().Grid.Box
-	box.Max.Lon = (box.Min.Lon + box.Max.Lon) / 2
-
-	cases := []struct {
-		name    string
-		legacy  func(*System) (*Report, error)
-		request QueryRequest
-	}{
-		{
-			name:    "QueryCity",
-			legacy:  func(s *System) (*Report, error) { return s.QueryCity(0, 7, Guided), nil },
-			request: QueryRequest{FirstDay: 0, Days: 7, Strategy: Guided},
-		},
-		{
-			name:    "QueryCityCtx",
-			legacy:  func(s *System) (*Report, error) { return s.QueryCityCtx(ctx, 0, 7, Pruned) },
-			request: QueryRequest{FirstDay: 0, Days: 7, Strategy: Pruned},
-		},
-		{
-			name:    "QueryBox",
-			legacy:  func(s *System) (*Report, error) { return s.QueryBox(box, 0, 7, IntegrateAll), nil },
-			request: QueryRequest{Box: &box, FirstDay: 0, Days: 7, Strategy: IntegrateAll},
-		},
-		{
-			name: "QueryCityExplainCtx",
-			legacy: func(s *System) (*Report, error) {
-				rep, exp, err := s.QueryCityExplainCtx(ctx, 0, 7, IntegrateAll)
-				if err == nil && exp == nil {
-					return nil, errors.New("wrapper returned no explain record")
-				}
-				return rep, err
-			},
-			request: QueryRequest{FirstDay: 0, Days: 7, Strategy: IntegrateAll, Explain: true},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			legacySys := buildSystem(t)
-			rep, err := tc.legacy(legacySys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := renderReport(legacySys, rep)
-
-			runSys := buildSystem(t)
-			req := tc.request
-			req.AllowPartial = true
-			res, err := runSys.Run(ctx, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if req.Explain && res.Explain == nil {
-				t.Fatal("Run with Explain set returned no record")
-			}
-			got := renderReport(runSys, res.Report)
-			if got != want {
-				t.Fatalf("%s diverged from Run:\n%s", tc.name, diffAt(got, want))
-			}
-		})
-	}
-}
-
-// QueryAt's explicit region/window scope must survive the lift into a
-// QueryRequest — including the nil-regions edge (explicit empty scope, not
-// "whole city").
-func TestQueryAtLiftsExactly(t *testing.T) {
-	legacySys := buildSystem(t)
-	q := Query{Time: DayRange(legacySys.Spec(), 0, 7), DeltaS: 0.02}
-	for _, r := range legacySys.Network().Grid.Regions() {
-		q.Regions = append(q.Regions, r.ID)
-	}
-	want := renderReport(legacySys, legacySys.QueryAt(q, Pruned))
-
-	runSys := buildSystem(t)
-	tr := q.Time
-	res, err := runSys.Run(context.Background(), QueryRequest{
-		Regions: q.Regions, Window: &tr, DeltaS: q.DeltaS, Strategy: Pruned, AllowPartial: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := renderReport(runSys, res.Report); got != want {
-		t.Fatalf("QueryAt diverged from Run:\n%s", diffAt(got, want))
-	}
 }
 
 // A time period is mandatory — the zero-value request is rejected — and a
